@@ -9,10 +9,10 @@
 //! byte for byte (infeasible candidates must carry the identical
 //! diagnosis `/v1/network` would 422 with). Then it times both paths and
 //! enforces the acceptance bar: the warm-cache sweep (amortized by the
-//! `(layer, arch)` plan cache and the flat `(candidate × layer)` rayon
-//! fan-out) must be ≥ 5× faster than the cold serial oracle. The run
-//! prints the measured ratio and exits non-zero if parity or the bar is
-//! missed.
+//! plan cache, keyed by layer and planning geometry, and the flat
+//! `(candidate × layer)` rayon fan-out) must be ≥ 5× faster than the cold
+//! serial oracle. The run prints the measured ratio and exits non-zero if
+//! parity or the bar is missed.
 
 use std::time::{Duration, Instant};
 
@@ -160,8 +160,8 @@ fn main() {
     });
 
     // Warm sweep: the production shape — repeated whole-model what-if
-    // sweeps against the resident service, planning amortized by the
-    // (layer, arch) cache.
+    // sweeps against the resident service, planning amortized by the plan
+    // cache.
     clear_caches();
     black_box(api::dse_response(&body).unwrap()); // warm the caches
     let warm_sweep = measure(10, || {

@@ -8,10 +8,10 @@
 //! and its stats equal the `/v1/simulate` response for the planned tiling
 //! (infeasible candidates must fail `/v1/plan` with the identical
 //! diagnosis). Then it times both paths and enforces the acceptance bar:
-//! the warm-cache sweep (amortized by the `(layer, arch)` plan cache and
-//! the rayon fan-out) must be ≥ 5× faster than the serial oracle. The run
-//! prints the measured ratio and exits non-zero if parity or the bar is
-//! missed.
+//! the warm-cache sweep (amortized by the plan cache, keyed by layer and
+//! planning geometry, and the rayon fan-out) must be ≥ 5× faster than the
+//! serial oracle. The run prints the measured ratio and exits non-zero if
+//! parity or the bar is missed.
 
 use std::time::{Duration, Instant};
 
@@ -195,7 +195,7 @@ fn main() {
     });
 
     // Warm sweep: the production shape — repeated what-if sweeps against
-    // the resident service, planning amortized by the (layer, arch) cache.
+    // the resident service, planning amortized by the plan cache.
     clear_caches();
     black_box(api::dse_response(&body).unwrap()); // warm the caches
     let warm_sweep = measure(10, || {

@@ -12,10 +12,13 @@
 //!   expensive layer of one candidate never serializes behind another
 //!   candidate's cheap layers.
 //!
-//! Both amortize planning through the process-wide `(layer, arch)` plan
-//! cache — a warm re-sweep is cache hits plus cheap class-based simulation,
-//! and layers that repeat inside a network (VGG-16 has several identical
-//! geometries) are planned once per candidate.
+//! Both amortize planning through the process-wide plan cache, keyed by
+//! the layer and the candidate's planning projection
+//! ([`ArchConfig::plan_arch`]): candidates that differ only in group
+//! shape, GReg total, clock or DRAM share their plans, a warm re-sweep is
+//! cache hits plus cheap class-based simulation, and layers that repeat
+//! inside a network (VGG-16 has several identical geometries) are planned
+//! once per planning geometry.
 //!
 //! Results are **enumeration-order independent**: duplicate configurations
 //! are collapsed (by [`ArchConfig::cache_key`]) and the output is sorted by
@@ -172,11 +175,13 @@ pub fn sweep_archs(
 /// The work is fanned as flat `(candidate × layer)` units across the
 /// thread pool (not per-candidate with a nested per-layer fan), so load
 /// balances across candidates whose layers differ wildly in cost; planning
-/// is amortized by the process-wide `(layer, arch)` plan cache, so layer
-/// geometries that repeat within the network are planned once per
-/// candidate. Per-candidate reports are reassembled in network layer order
-/// and aggregated through the same [`NetworkReport::from_layer_reports`]
-/// constructor [`Accelerator::analyze_network`] uses
+/// is amortized by the process-wide plan cache (keyed by layer and
+/// [`ArchConfig::plan_arch`]), so layer geometries that repeat within the
+/// network, or across candidates that differ only in fields the planner
+/// never reads, are planned once. Per-candidate reports are reassembled in
+/// network layer order and aggregated through the same
+/// [`NetworkReport::from_layer_reports`] constructor
+/// [`Accelerator::analyze_network`] uses
 /// (first-error-in-layer-order semantics included), so each entry is
 /// structurally bit-identical to a serial per-candidate `analyze_network`
 /// oracle call.

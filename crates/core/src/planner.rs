@@ -18,19 +18,22 @@
 //! orchestration keeps the prune and tie-break semantics of the planner and
 //! the abstract search from drifting apart.
 //!
-//! Results are memoized process-wide in a bounded LRU keyed by
-//! `(layer shape, architecture)` — the same machinery as the abstract
-//! search's memo cache — so long-running embedders (the analysis service's
-//! `/v1/plan` and `/v1/network`) replan a given layer × implementation
-//! once, not per cold request; concurrent identical misses coalesce onto
-//! one sweep. [`plan_cache_stats`], [`set_plan_cache_capacity`] and
+//! Results are memoized process-wide in a bounded LRU keyed by the layer
+//! shape and the architecture's planning projection ([`PlanArch`]: PE
+//! array, LRegs, GBufs and GReg segment) — the same machinery as the
+//! abstract search's memo cache. The group shape, total GReg bytes, clock
+//! and DRAM model never constrain a tiling, so design-space candidates that
+//! differ only in those share one plan, and long-running embedders (the
+//! analysis service's `/v1/plan`, `/v1/network` and `/v1/dse`) plan a given
+//! layer × planning geometry once; concurrent identical misses coalesce
+//! onto one sweep. [`plan_cache_stats`], [`set_plan_cache_capacity`] and
 //! [`clear_plan_cache`] expose, bound and reset the cache.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use accel_sim::mapping::{map_block, Block};
-use accel_sim::{ArchCacheKey, ArchConfig};
+use accel_sim::mapping::{map_block, Block, MapError, Mapping};
+use accel_sim::{ArchConfig, PlanArch};
 use comm_bound::OnChipMemory;
 use conv_model::ConvLayer;
 use dataflow::engine::search_ours_with;
@@ -39,14 +42,21 @@ use dataflow::{paper_tiling, FlightMap, LayerTables, LruCache, Tiling};
 /// True when `tiling` satisfies every structural constraint of `arch`.
 #[must_use]
 pub fn tiling_feasible(layer: &ConvLayer, tiling: &Tiling, arch: &ArchConfig) -> bool {
-    if tiling.z > arch.wgbuf_entries {
-        return false;
-    }
+    let arch = arch.plan_arch();
+    buffers_fit(layer, &arch, tiling) && maps(layer, &arch, tiling).is_ok()
+}
+
+/// The WGBuf constraint (`z` kernel rows resident) and the IGBuf constraint
+/// (`b·x'·y'` halo-included inputs resident). Both are monotone in every
+/// tiling parameter.
+fn buffers_fit(layer: &ConvLayer, arch: &PlanArch, tiling: &Tiling) -> bool {
     let (xh, yh) = layer.input_footprint(tiling.x, tiling.y);
-    if tiling.b * xh * yh > arch.igbuf_entries {
-        return false;
-    }
-    // If the full-size block maps, every (smaller) boundary block maps too.
+    tiling.z <= arch.wgbuf_entries && tiling.b * xh * yh <= arch.igbuf_entries
+}
+
+/// Maps the full-size block of `tiling` onto the PE array. If it maps,
+/// every (smaller) boundary block maps too.
+fn maps(layer: &ConvLayer, arch: &PlanArch, tiling: &Tiling) -> Result<Mapping, MapError> {
     let block = Block {
         i0: 0,
         b: tiling.b,
@@ -57,25 +67,26 @@ pub fn tiling_feasible(layer: &ConvLayer, tiling: &Tiling, arch: &ArchConfig) ->
         x0: 0,
         x: tiling.x,
     };
-    map_block(arch, layer, &block).is_ok()
+    map_block(*arch, layer, &block)
 }
 
-/// Memo-cache key: the layer shape plus the full architecture identity.
-/// [`ArchCacheKey`] is built next to `ArchConfig` by exhaustive
-/// destructuring, so a new `ArchConfig` field cannot silently bypass this
-/// cache. The DRAM model does not influence planning, but `validate` reads
-/// the core frequency, so the whole configuration is keyed for safety —
-/// real embedders run a handful of fixed architectures, so the hit rate is
-/// unaffected.
+/// Memo-cache key: the layer shape plus the architecture's planning
+/// projection. [`PlanArch`] is built next to `ArchConfig` by exhaustive
+/// destructuring, and the planning sweep takes only a `&PlanArch`, so the
+/// key covers everything a plan depends on. Keying the full configuration
+/// instead would replan every design-space candidate that differs only in
+/// group shape, GReg total, clock or DRAM — nine times over on a grid with
+/// 3 × 3 group axes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PlanKey {
     layer: ConvLayer,
-    arch: ArchCacheKey,
+    arch: PlanArch,
 }
 
 /// Default bound on the planner memo cache. Entries are a few hundred bytes
 /// (a key plus a `Result<Tiling, SimError>`), and real workloads plan at
-/// most a few hundred distinct layer × architecture pairs.
+/// most a few hundred distinct layer × planning-geometry pairs (a VGG-16
+/// staged DSE over a 26k-candidate grid plans 270).
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 4096;
 
 type PlanResult = Result<Tiling, accel_sim::SimError>;
@@ -137,9 +148,10 @@ pub fn set_plan_cache_capacity(capacity: usize) {
 /// same canonical order the dataflow search engine uses.
 ///
 /// Results (errors included — they are deterministic) are memoized in a
-/// process-wide bounded LRU keyed by `(layer shape, architecture)`, with
-/// concurrent identical misses coalesced onto one sweep, so warm planning
-/// is a hash lookup for any embedder.
+/// process-wide bounded LRU keyed by the layer shape and
+/// [`ArchConfig::plan_arch`], with concurrent identical misses coalesced
+/// onto one sweep, so warm planning is a hash lookup for any embedder.
+/// `arch` is validated before the lookup and its errors are not cached.
 ///
 /// # Errors
 ///
@@ -151,9 +163,10 @@ pub fn set_plan_cache_capacity(capacity: usize) {
 /// blocking than the Fig. 7 dataflow provides.
 pub fn plan_for_arch(layer: &ConvLayer, arch: &ArchConfig) -> Result<Tiling, accel_sim::SimError> {
     arch.validate().map_err(accel_sim::SimError::InvalidArch)?;
+    let plan = arch.plan_arch();
     let key = PlanKey {
         layer: *layer,
-        arch: arch.cache_key(),
+        arch: plan,
     };
     if let Ok(mut cache) = plan_cache().lock() {
         if let Some(hit) = cache.get(&key) {
@@ -163,7 +176,7 @@ pub fn plan_for_arch(layer: &ConvLayer, arch: &ArchConfig) -> Result<Tiling, acc
     }
     let (result, _coalesced) = plan_flights().run(key, || {
         PLAN_MISSES.fetch_add(1, Ordering::Relaxed);
-        let result = plan_for_arch_uncached(layer, arch);
+        let result = plan_for_arch_uncached(layer, &plan);
         if let Ok(mut cache) = plan_cache().lock() {
             cache.insert(key, result.clone());
         }
@@ -172,43 +185,24 @@ pub fn plan_for_arch(layer: &ConvLayer, arch: &ArchConfig) -> Result<Tiling, acc
     result
 }
 
-/// The actual planning sweep behind [`plan_for_arch`].
-fn plan_for_arch_uncached(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-) -> Result<Tiling, accel_sim::SimError> {
+/// The actual planning sweep behind [`plan_for_arch`]. It sees only the
+/// planning projection, so it cannot depend on a field the memo does not
+/// key on.
+fn plan_for_arch_uncached(layer: &ConvLayer, arch: &PlanArch) -> PlanResult {
     let mem = OnChipMemory::from_words(arch.effective_onchip_words() as f64);
     let tables = LayerTables::new(layer);
 
-    // The WGBuf constraint (`z` kernel rows resident) and the IGBuf
-    // constraint (`b·x'·y'` halo-included inputs resident) are monotone in
-    // every tiling parameter, so they drive the engine's loop breaks; the
-    // expensive PE-array mapping check is the residual predicate, run only
-    // for candidates that could still beat the best feasible tiling.
-    let monotone_fits = |t: &Tiling| {
-        let (xh, yh) = layer.input_footprint(t.x, t.y);
-        t.z <= arch.wgbuf_entries && t.b * xh * yh <= arch.igbuf_entries
-    };
-    let mappable = |t: &Tiling| {
-        let block = Block {
-            i0: 0,
-            b: t.b,
-            z0: 0,
-            z: t.z,
-            y0: 0,
-            y: t.y,
-            x0: 0,
-            x: t.x,
-        };
-        map_block(arch, layer, &block).is_ok()
-    };
+    // The buffer constraints are monotone in every tiling parameter, so
+    // they drive the engine's loop breaks; the expensive PE-array mapping
+    // check is the residual predicate, run only for candidates that could
+    // still beat the best feasible tiling.
     let best = search_ours_with(
         layer,
         &tables,
         Some(paper_tiling(layer, mem)),
         Some(arch.wgbuf_entries),
-        monotone_fits,
-        mappable,
+        |t: &Tiling| buffers_fit(layer, arch, t),
+        |t: &Tiling| maps(layer, arch, t).is_ok(),
     );
 
     match best {
@@ -224,17 +218,7 @@ fn plan_for_arch_uncached(
                     capacity: arch.igbuf_entries,
                 })
             } else {
-                let block = Block {
-                    i0: 0,
-                    b: 1,
-                    z0: 0,
-                    z: 1,
-                    y0: 0,
-                    y: 1,
-                    x0: 0,
-                    x: 1,
-                };
-                match map_block(arch, layer, &block) {
+                match maps(layer, arch, &unit) {
                     Err(e) => Err(accel_sim::SimError::Unmappable(e)),
                     Ok(_) => Err(accel_sim::SimError::WeightTileTooLarge {
                         z: 1,
@@ -251,6 +235,7 @@ mod tests {
     use super::*;
     use conv_model::workloads;
     use dataflow::our_dataflow_traffic;
+    use proptest::prelude::*;
 
     fn layer() -> ConvLayer {
         workloads::vgg16(3).layer(4).unwrap().layer
@@ -342,6 +327,9 @@ mod tests {
 
     #[test]
     fn invalid_arch_is_not_planned() {
+        // Warm the shared planning key first: validation precedes the
+        // lookup, so a cached plan cannot answer for an invalid arch.
+        plan_for_arch(&layer(), &ArchConfig::example()).unwrap();
         let mut arch = ArchConfig::example();
         arch.group_cols = 7;
         let err = plan_for_arch(&layer(), &arch).unwrap_err();
@@ -372,5 +360,99 @@ mod tests {
             &Tiling::clamped(&l, 3, 4, 56, 56),
             &arch
         ));
+    }
+
+    /// Random small layers with `same` padding, so halo clipping and the
+    /// planner's error diagnoses are both reached.
+    fn layer_strategy() -> impl Strategy<Value = ConvLayer> {
+        (
+            1usize..=2,
+            4usize..=24,
+            6usize..=18,
+            1usize..=8,
+            1usize..=3,
+            1usize..=2,
+        )
+            .prop_filter_map("valid layer", |(b, co, size, ci, k, s)| {
+                ConvLayer::square(b, co, size, ci, k, s).ok()
+            })
+    }
+
+    /// Random valid architectures. Tiny buffers and segments make some
+    /// layers unplannable, so error variants are compared too.
+    fn arch_strategy() -> impl Strategy<Value = ArchConfig> {
+        (
+            (0usize..4, 0usize..3, 0usize..3, 0usize..3),
+            (0usize..4, 0usize..4, 0usize..3, 0usize..3),
+            (0usize..3, 1e8f64..2e9, 1e8f64..2e10, 0u64..1000),
+        )
+            .prop_map(
+                |((pr, pc, gr, gc), (lr, ig, wg, seg), (greg, freq, bw, lat))| ArchConfig {
+                    pe_rows: [4usize, 8, 16, 32][pr],
+                    pe_cols: [4usize, 8, 16][pc],
+                    group_rows: [1usize, 2, 4][gr],
+                    group_cols: [1usize, 2, 4][gc],
+                    lreg_entries_per_pe: [8usize, 32, 64, 128][lr],
+                    igbuf_entries: [4usize, 64, 512, 1024][ig],
+                    wgbuf_entries: [4usize, 64, 256][wg],
+                    greg_segment_entries: [2usize, 16, 64][seg],
+                    greg_bytes: [1024usize, 10 * 1024, 64 * 1024][greg],
+                    core_freq_hz: freq,
+                    dram: accel_sim::DramConfig {
+                        bandwidth_bytes_per_s: bw,
+                        latency_cycles: lat,
+                    },
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The projection is lossless: replacing every field it drops with
+        /// another valid value leaves the key and the uncached plan (error
+        /// variant and payload included) unchanged, and the shared plan
+        /// simulates on both architectures. Changing any kept field
+        /// changes the key.
+        #[test]
+        fn plan_depends_only_on_the_planning_projection(
+            layer in layer_strategy(),
+            a in arch_strategy(),
+            other in arch_strategy(),
+        ) {
+            let b = ArchConfig {
+                group_rows: other.group_rows,
+                group_cols: other.group_cols,
+                greg_bytes: other.greg_bytes,
+                core_freq_hz: other.core_freq_hz,
+                dram: other.dram,
+                ..a
+            };
+            prop_assert!(a.validate().is_ok() && b.validate().is_ok());
+            prop_assert_eq!(a.plan_arch(), b.plan_arch());
+            let planned = plan_for_arch_uncached(&layer, &a.plan_arch());
+            prop_assert_eq!(&planned, &plan_for_arch_uncached(&layer, &b.plan_arch()));
+            if let Ok(tiling) = &planned {
+                for arch in [&a, &b] {
+                    let stats = accel_sim::simulate(&layer, tiling, arch);
+                    prop_assert!(stats.is_ok(), "shared plan rejected on {arch:?}: {stats:?}");
+                }
+            }
+
+            let kept: [fn(&mut ArchConfig); 6] = [
+                |c| c.pe_rows *= 2,
+                |c| c.pe_cols *= 2,
+                |c| c.lreg_entries_per_pe += 1,
+                |c| c.igbuf_entries += 1,
+                |c| c.wgbuf_entries += 1,
+                |c| c.greg_segment_entries += 1,
+            ];
+            for change in kept {
+                let mut changed = a;
+                change(&mut changed);
+                prop_assert!(changed.validate().is_ok());
+                prop_assert_ne!(changed.plan_arch(), a.plan_arch());
+            }
+        }
     }
 }

@@ -143,7 +143,9 @@
 //! `"target": {"network": ...}`, over a **full model**, producing one
 //! `/v1/network`-identical report per candidate. Work fans across the
 //! worker pool (`(candidate × layer)` units in network mode) with planning
-//! amortized by the `(layer, arch)` plan cache; results are canonically
+//! amortized by the plan cache (keyed by layer and the architecture's
+//! planning projection, so candidates differing only in group shape, GReg
+//! total, clock or DRAM share plans); results are canonically
 //! ordered (feasible first by cycles, traffic, then the architecture's
 //! total order), so the response does not depend on candidate enumeration
 //! order:

@@ -434,10 +434,11 @@ impl LatencyHistogram {
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
         let total: u64 = counts.iter().sum();
+        let max_micros = self.max_micros.load(Ordering::Relaxed);
         // The smallest bucket whose cumulative count reaches the 1-based
         // quantile rank; the reported value is that bucket's upper bound
         // (a conservative estimate — never below the true percentile's
-        // bucket).
+        // bucket), clamped to the exact max, which no percentile exceeds.
         let quantile = |numerator: u128, denominator: u128| -> u64 {
             if total == 0 {
                 return 0;
@@ -447,17 +448,17 @@ impl LatencyHistogram {
             for (i, &count) in counts.iter().enumerate() {
                 cumulative += u128::from(count);
                 if cumulative >= rank {
-                    return bucket_upper_micros(i);
+                    return bucket_upper_micros(i).min(max_micros);
                 }
             }
-            bucket_upper_micros(LATENCY_BUCKETS - 1)
+            bucket_upper_micros(LATENCY_BUCKETS - 1).min(max_micros)
         };
         RouteLatencyStats {
             route: route.to_string(),
             count: total,
             p50_micros: quantile(1, 2),
             p99_micros: quantile(99, 100),
-            max_micros: self.max_micros.load(Ordering::Relaxed),
+            max_micros,
         }
     }
 }
@@ -824,7 +825,8 @@ struct ServiceState {
 pub struct CacheStatsResponse {
     /// Tiling-search memo-cache stats (process-wide).
     pub search: MemoCacheStats,
-    /// Planner `(layer, arch)` memo-cache stats (process-wide).
+    /// Planner memo-cache stats (process-wide), keyed by layer and the
+    /// architecture's planning projection.
     pub plan: MemoCacheStats,
     /// HTTP-layer stats for this server.
     pub service: ServiceStats,
@@ -836,18 +838,20 @@ pub struct CacheStatsResponse {
 /// One route's entry in the `latency` section of `GET /v1/cache_stats`:
 /// request count and latency percentiles in microseconds, derived from a
 /// 32-bucket log2 histogram of the same measurement the request log's
-/// `micros=` field reports. Percentiles are bucket upper bounds (so `p50`
-/// of a route whose requests all take ~100 µs reads `127`); `max` is
-/// exact.
+/// `micros=` field reports. Percentiles are bucket upper bounds clamped to
+/// the exact `max`: `p50` of a route whose requests all take 100–120 µs
+/// reads `120`, not the bucket bound `127`.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct RouteLatencyStats {
     /// The route (a [`LATENCY_ROUTES`] entry).
     pub route: String,
     /// Requests measured.
     pub count: u64,
-    /// Median latency in µs (log2-bucket upper bound), 0 when idle.
+    /// Median latency in µs (log2-bucket upper bound, at most `max_micros`),
+    /// 0 when idle.
     pub p50_micros: u64,
-    /// 99th-percentile latency in µs (log2-bucket upper bound), 0 when idle.
+    /// 99th-percentile latency in µs (log2-bucket upper bound, at most
+    /// `max_micros`), 0 when idle.
     pub p99_micros: u64,
     /// Largest single latency in µs (exact), 0 when idle.
     pub max_micros: u64,
@@ -2321,6 +2325,35 @@ impl RunningServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn latency_percentiles_never_exceed_the_exact_max() {
+        // 236 µs lands in the 128–255 bucket; its upper bound must not be
+        // reported above the largest latency actually seen.
+        let histogram = LatencyHistogram::default();
+        for _ in 0..3 {
+            histogram.record(236);
+        }
+        let stats = histogram.snapshot("/v1/bound");
+        assert_eq!(stats.count, 3);
+        assert_eq!(
+            (stats.p50_micros, stats.p99_micros, stats.max_micros),
+            (236, 236, 236)
+        );
+
+        // A slower tail keeps the bucket bound for the median and clamps
+        // only the percentile whose bucket holds the max.
+        for micros in [100, 110, 120, 5000] {
+            histogram.record(micros);
+        }
+        let stats = histogram.snapshot("/v1/bound");
+        assert!(stats.p50_micros <= stats.p99_micros && stats.p99_micros <= stats.max_micros);
+        assert_eq!(
+            (stats.p50_micros, stats.p99_micros, stats.max_micros),
+            (255, 5000, 5000)
+        );
+        assert_eq!(LatencyHistogram::default().snapshot("idle").p99_micros, 0);
+    }
 
     /// Poisons `mutex` the way a panicking request handler would: a
     /// thread takes the guard and dies with it held.

@@ -111,13 +111,16 @@ fn cache_stats_report_per_route_latency_histograms() {
     };
     let bound = by_route("/v1/bound");
     assert_eq!(bound.count, 3);
-    // Percentiles are log2-bucket upper bounds: 2^i - 1 for some i, with
-    // p50 <= p99, and the exact max inside the p99 bucket's range or above
-    // the p50 bucket's lower bound.
+    // Percentiles are log2-bucket upper bounds (2^i - 1 for some i)
+    // clamped to the exact max, so p50 <= p99 <= max.
     for p in [bound.p50_micros, bound.p99_micros] {
-        assert!((p + 1).is_power_of_two(), "bucket bound: {p}");
+        assert!(
+            (p + 1).is_power_of_two() || p == bound.max_micros,
+            "bucket bound or max: {p}"
+        );
     }
     assert!(bound.p50_micros <= bound.p99_micros);
+    assert!(bound.p99_micros <= bound.max_micros);
     assert!(bound.max_micros <= 60_000_000, "{}", bound.max_micros);
     // The 404 lands in the trailing `other` bucket; the stats request
     // itself was still in flight when its snapshot was taken.

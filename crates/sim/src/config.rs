@@ -171,13 +171,13 @@ impl ArchConfig {
     /// hold duplicated data and do not count — Section III).
     #[must_use]
     pub fn effective_onchip_bytes(&self) -> usize {
-        self.lreg_total_entries() * 2 + self.gbuf_bytes()
+        self.effective_onchip_words() * 2
     }
 
     /// Effective on-chip memory in 16-bit words (the `S` of the theory).
     #[must_use]
     pub fn effective_onchip_words(&self) -> usize {
-        self.effective_onchip_bytes() / 2
+        self.plan_arch().effective_onchip_words()
     }
 
     /// DRAM bandwidth expressed in 16-bit words per core cycle.
@@ -188,7 +188,9 @@ impl ArchConfig {
 
     /// A hashable key covering *every* field of this configuration (float
     /// fields by bit pattern, so distinct configurations never alias) —
-    /// what memo caches keyed by architecture should use.
+    /// what candidate dedup and caches whose value depends on the whole
+    /// configuration should use. The planner's memo keys on the narrower
+    /// [`ArchConfig::plan_arch`].
     ///
     /// Defined here, next to the struct, via exhaustive destructuring: when
     /// `ArchConfig` grows a field, this method stops compiling and forces
@@ -225,6 +227,46 @@ impl ArchConfig {
             core_freq_bits: core_freq_hz.to_bits(),
             dram_bw_bits: bandwidth_bytes_per_s.to_bits(),
             dram_latency: latency_cycles,
+        }
+    }
+
+    /// The fields that fix a tiling plan (Section V): the LReg/PE-array
+    /// mapping, the WGBuf, the IGBuf and the GReg segment. Configurations
+    /// that differ only elsewhere plan identically, so the planner keys its
+    /// memo on this projection and reads nothing else.
+    ///
+    /// Built by exhaustive destructuring, like [`ArchConfig::cache_key`]: a
+    /// new `ArchConfig` field stops this method compiling until someone
+    /// decides whether it affects planning.
+    #[must_use]
+    pub fn plan_arch(&self) -> PlanArch {
+        let ArchConfig {
+            pe_rows,
+            pe_cols,
+            // Group shape sets GReg copy counts, which the simulator
+            // counts but no mapping constraint reads.
+            group_rows: _,
+            group_cols: _,
+            lreg_entries_per_pe,
+            igbuf_entries,
+            wgbuf_entries,
+            // Total GReg bytes only scale utilization and energy reports;
+            // the per-segment capacity is what bounds a mapping.
+            greg_bytes: _,
+            greg_segment_entries,
+            // The clock converts cycles to time; plans minimise words.
+            core_freq_hz: _,
+            // DRAM timing sets stall cycles, not which tiling is feasible
+            // or DRAM-minimal.
+            dram: _,
+        } = *self;
+        PlanArch {
+            pe_rows,
+            pe_cols,
+            lreg_entries_per_pe,
+            igbuf_entries,
+            wgbuf_entries,
+            greg_segment_entries,
         }
     }
 
@@ -379,6 +421,44 @@ pub struct ArchCacheKey {
     core_freq_bits: u64,
     dram_bw_bits: u64,
     dram_latency: u64,
+}
+
+/// The planning-relevant projection of an [`ArchConfig`], returned by
+/// [`ArchConfig::plan_arch`]. Each field means what the `ArchConfig` field
+/// of the same name means. Tiling planning and the PE-array mapping
+/// ([`map_block`](crate::mapping::map_block)) read only these fields, so
+/// the planner's memo keys on this value and candidates that differ only in
+/// group shape, GReg total, clock or DRAM model share one plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PlanArch {
+    /// PE array rows `p`.
+    pub pe_rows: usize,
+    /// PE array columns `q`.
+    pub pe_cols: usize,
+    /// LReg entries (16-bit Psum slots) per PE.
+    pub lreg_entries_per_pe: usize,
+    /// Input GBuf capacity in 16-bit entries.
+    pub igbuf_entries: usize,
+    /// Weight GBuf capacity in 16-bit entries.
+    pub wgbuf_entries: usize,
+    /// Capacity of one input GReg segment in 16-bit entries.
+    pub greg_segment_entries: usize,
+}
+
+impl PlanArch {
+    /// Effective on-chip memory in 16-bit words: Psum LRegs + GBufs.
+    #[must_use]
+    pub fn effective_onchip_words(&self) -> usize {
+        self.pe_rows * self.pe_cols * self.lreg_entries_per_pe
+            + self.igbuf_entries
+            + self.wgbuf_entries
+    }
+}
+
+impl From<&ArchConfig> for PlanArch {
+    fn from(arch: &ArchConfig) -> Self {
+        arch.plan_arch()
+    }
 }
 
 #[cfg(test)]

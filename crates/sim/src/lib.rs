@@ -44,7 +44,7 @@ pub mod microarch;
 mod stats;
 pub mod trace;
 
-pub use config::{caps, ArchCacheKey, ArchConfig, DramConfig};
+pub use config::{caps, ArchCacheKey, ArchConfig, DramConfig, PlanArch};
 pub use engine::{
     block_grid, effective_memory, simulate, simulate_functional, simulate_reference,
     simulate_traced, SimError,

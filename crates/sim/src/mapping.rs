@@ -17,7 +17,7 @@
 use conv_model::ConvLayer;
 use serde::{Deserialize, Serialize};
 
-use crate::config::ArchConfig;
+use crate::config::PlanArch;
 
 /// Clamped sizes and origin of one output block of the Fig. 7 loop nest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -158,11 +158,20 @@ fn factor_triples(p: usize) -> Vec<(usize, usize, usize)> {
 /// Maps a block onto the array, minimising halo overhead among feasible
 /// row-grid factorisations.
 ///
+/// Takes the planning projection of the architecture (an `&ArchConfig`
+/// converts), so the mapping provably reads only the fields the planner's
+/// memo keys on.
+///
 /// # Errors
 ///
 /// Returns [`MapError`] when no factorisation fits the LRegs or the GReg
 /// segments.
-pub fn map_block(arch: &ArchConfig, layer: &ConvLayer, block: &Block) -> Result<Mapping, MapError> {
+pub fn map_block(
+    arch: impl Into<PlanArch>,
+    layer: &ConvLayer,
+    block: &Block,
+) -> Result<Mapping, MapError> {
+    let arch = arch.into();
     let zs = block.z.div_ceil(arch.pe_cols);
     let mut best: Option<(u64, Mapping)> = None;
     let mut least_lregs = usize::MAX;
@@ -236,6 +245,7 @@ pub fn map_block(arch: &ArchConfig, layer: &ConvLayer, block: &Block) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ArchConfig;
 
     fn layer() -> ConvLayer {
         ConvLayer::square(3, 256, 56, 128, 3, 1).unwrap()
